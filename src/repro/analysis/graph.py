@@ -233,7 +233,7 @@ class ProjectContext:
             if alias.name == "*":
                 target = base
             else:
-                # ``from repro.serving import metrics`` imports a
+                # ``from repro.serving import routes`` imports a
                 # *module*; ``from repro.metrics import Counter``
                 # imports a name.  Prefer the submodule when we know it.
                 candidate = f"{base}.{alias.name}"

@@ -12,15 +12,13 @@ Entry point: :class:`ClusterService` — duck-type compatible with
 front-end serves either without changes (``repro serve --workers N``).
 """
 
-from repro.cluster.health import CircuitBreaker, ExponentialBackoff, WorkerStatus
+from repro.cluster.health import CircuitBreaker, WorkerStatus
 from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
     PeerClosedError,
     ProtocolError,
     budget_to_deadline,
-    recv_frame,
     remaining_budget_s,
-    send_frame,
 )
 from repro.cluster.router import HashRing
 from repro.cluster.supervisor import ClusterConfig, ClusterService
@@ -30,7 +28,6 @@ __all__ = [
     "CircuitBreaker",
     "ClusterConfig",
     "ClusterService",
-    "ExponentialBackoff",
     "HashRing",
     "MAX_FRAME_BYTES",
     "PeerClosedError",
@@ -38,7 +35,5 @@ __all__ = [
     "WorkerSpec",
     "WorkerStatus",
     "budget_to_deadline",
-    "recv_frame",
     "remaining_budget_s",
-    "send_frame",
 ]

@@ -2,9 +2,9 @@
 
 Kept free of process/socket concerns so the policies are unit-testable
 with a fake clock; the supervisor composes them.  The restart delay
-schedule (:class:`ExponentialBackoff`) moved to :mod:`repro.concurrency`
-so non-cluster packages (the KB refresher) can use it without importing
-the cluster layer; it is re-exported here for compatibility.
+schedule (:class:`~repro.concurrency.ExponentialBackoff`) lives in
+:mod:`repro.concurrency`, so the KB refresher can share it without
+importing the cluster layer.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import enum
 import time
 from collections import deque
 from collections.abc import Callable
-
-from repro.concurrency import ExponentialBackoff  # noqa: F401  (re-export)
 
 
 class WorkerStatus(enum.Enum):

@@ -1,13 +1,13 @@
 """Zero-copy framed IPC between the cluster supervisor and workers.
 
-Every frame on the wire is ``4-byte big-endian length || payload``.  Two
-payload encodings share that envelope, distinguished by the first
-payload byte:
+Every frame on the wire is ``4-byte big-endian length || payload``.  The
+payload takes one of two encodings, told apart by its first byte:
 
 * **JSON** (first byte ``{`` — i.e. any ``json.dumps`` of an object):
-  the original wire format, still produced by :func:`send_frame` and by
-  :class:`FrameConnection` when the binary fast path is off.
-* **Binary fast path** (first byte ``0x00``, opt-in per sender):
+  sent whenever no string field reaches :data:`BLOB_THRESHOLD` and the
+  message holds no ``bytes`` — the common case for control frames and
+  typical responses.
+* **Binary** (first byte ``0x00``):
   ``0x00 || 4-byte header length || JSON header || (4-byte blob length
   || blob bytes)*``.  Large string fields and all ``bytes`` fields are
   lifted out of the message before JSON encoding and shipped as raw
@@ -15,15 +15,14 @@ payload byte:
   encoder features, result rows) are not round-tripped through
   ``json.dumps`` character escaping.  The header is the message with
   each lifted field replaced by a placeholder; the receiver re-inflates
-  it.  Receivers always understand both encodings, so the fast path
-  needs no handshake — enabling it is purely a sender-side choice.
+  it.
 
 The object always carries a ``"type"`` field; request/response frames
 additionally carry an ``"id"`` so many requests can be in flight on one
 connection and answers may arrive out of order.
 
-:class:`FrameConnection` is the performant way to speak the protocol:
-it keeps one preallocated, geometrically-grown receive buffer per
+:class:`FrameConnection` is the one way to speak the protocol: it
+keeps one preallocated, geometrically-grown receive buffer per
 connection (``recv_into`` on ``memoryview`` slices — no per-chunk
 ``bytes`` churn or reassembly joins) and writes each frame with a
 single gathered ``sendmsg`` syscall referencing blob ``memoryview``\\ s
@@ -69,7 +68,10 @@ _LENGTH = struct.Struct("!I")
 # a protocol bug (e.g. unbounded result rows), not a legitimate message.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-# First payload byte of a binary fast-path frame.  JSON payloads always
+# Starting size of each connection's receive buffer (grown on demand).
+_INITIAL_RECV_BUFFER = 64 * 1024
+
+# First payload byte of a binary frame.  JSON payloads always
 # start with "{" (0x7B), so the tag can never collide.
 BINARY_TAG = 0x00
 
@@ -132,12 +134,10 @@ def _restore_blobs(value, blobs: list[memoryview]):
     return value
 
 
-def _encode_payload_views(message: dict, *, binary: bool) -> list:
+def _encode_payload_views(message: dict) -> list:
     """Encode ``message`` as a list of buffer views (without the length
     envelope); the caller prefixes the total length and gathers them
     into one write."""
-    if not binary:
-        return [json.dumps(message, separators=(",", ":")).encode("utf-8")]
     blobs: list[bytes] = []
     header = json.dumps(
         _lift_blobs(message, blobs), separators=(",", ":")
@@ -234,18 +234,9 @@ class FrameConnection:
     resumes exactly where the interrupted one stopped.
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        binary: bool = False,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        initial_buffer: int = 64 * 1024,
-    ):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.binary = binary
-        self.max_frame_bytes = max_frame_bytes
-        self._recv_buf = bytearray(initial_buffer)
+        self._recv_buf = bytearray(_INITIAL_RECV_BUFFER)
         self._recv_have = 0          # bytes of the current frame received
         self._body_len: int | None = None  # parsed length header, if any
 
@@ -254,11 +245,11 @@ class FrameConnection:
     def send(self, message: dict) -> None:
         """Serialize ``message`` and write one frame (single syscall in
         the common case, via ``sendmsg`` gather)."""
-        payload = _encode_payload_views(message, binary=self.binary)
+        payload = _encode_payload_views(message)
         total = sum(len(v) for v in payload)
-        if total > self.max_frame_bytes:
+        if total > MAX_FRAME_BYTES:
             raise ProtocolError(
-                f"refusing to send {total} byte frame (max {self.max_frame_bytes})"
+                f"refusing to send {total} byte frame (max {MAX_FRAME_BYTES})"
             )
         _sendmsg_all(self.sock, [_LENGTH.pack(total), *payload])
 
@@ -293,10 +284,8 @@ class FrameConnection:
         if self._body_len is None:
             self._fill(_LENGTH.size)
             (length,) = _LENGTH.unpack_from(self._recv_buf, 0)
-            if length > self.max_frame_bytes:
-                raise ProtocolError(
-                    f"{length} byte frame exceeds {self.max_frame_bytes}"
-                )
+            if length > MAX_FRAME_BYTES:
+                raise ProtocolError(f"{length} byte frame exceeds {MAX_FRAME_BYTES}")
             if length == 0:
                 raise ProtocolError("empty frame payload")
             self._body_len = length
@@ -315,58 +304,6 @@ class FrameConnection:
             self.sock.close()
         except OSError:
             pass
-
-
-# ----------------------------------------------- one-shot module functions
-
-
-def send_frame(sock: socket.socket, message: dict, *, binary: bool = False) -> None:
-    """Serialize ``message`` and write one length-prefixed frame.
-
-    Stateless convenience for tests and one-off control messages; the
-    cluster's hot paths go through :class:`FrameConnection` instead.
-    """
-    payload = _encode_payload_views(message, binary=binary)
-    total = sum(len(v) for v in payload)
-    if total > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"refusing to send {total} byte frame (max {MAX_FRAME_BYTES})"
-        )
-    _sendmsg_all(sock, [_LENGTH.pack(total), *payload])
-
-
-def _recv_exact(sock: socket.socket, count: int, *, at_boundary: bool) -> bytearray:
-    """Read exactly ``count`` bytes into a fresh buffer or raise on EOF."""
-    buf = bytearray(count)
-    view = memoryview(buf)
-    have = 0
-    while have < count:
-        try:
-            got = sock.recv_into(view[have:])
-        except InterruptedError:  # pragma: no cover - EINTR resume
-            continue
-        if got == 0:
-            if have == 0 and at_boundary:
-                raise PeerClosedError("peer closed the connection")
-            raise ProtocolError(
-                f"peer closed mid-frame ({have}/{count} bytes)"
-            )
-        have += got
-    return buf
-
-
-def recv_frame(sock: socket.socket) -> dict:
-    """Read one frame (either encoding); :class:`PeerClosedError` on
-    clean EOF.  Stateless — a timeout mid-frame loses the partial frame;
-    long-lived readers should hold a :class:`FrameConnection`."""
-    header = _recv_exact(sock, _LENGTH.size, at_boundary=True)
-    (length,) = _LENGTH.unpack(bytes(header))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"{length} byte frame exceeds {MAX_FRAME_BYTES}")
-    if length == 0:
-        raise ProtocolError("empty frame payload")
-    body = _recv_exact(sock, length, at_boundary=False)
-    return _decode_payload(memoryview(body))
 
 
 # --------------------------------------------------------- deadline budget

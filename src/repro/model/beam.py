@@ -6,11 +6,10 @@ and returns the best *complete* one.  IRNet (ValueNet's base) decodes with
 a beam — this module provides the same extension for our decoder, subject
 to the identical grammar constraints as the greedy path.
 
-Like :meth:`ValueNetDecoder.decode`, the search runs against the decoder
-ops interface: pass a per-request
-:class:`~repro.model.stepcache.StepCache` to reuse memoized pointer
-memory projections, feed embeddings, and grammar masks across all
-hypotheses of the request — predictions are identical either way.
+Like :meth:`ValueNetDecoder.decode`, the search runs on one per-request
+:class:`~repro.model.stepcache.StepCache`, so memoized pointer memory
+projections, feed embeddings, and grammar masks are shared by all
+hypotheses of the request.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.model.decoder import DecoderStep, ValueNetDecoder
 from repro.model.encoder import EncodedExample
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
+from repro.model.stepcache import RECURSIVE_ACTION, StepCache
 from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST
 from repro.semql.tree import GrammarState
 
@@ -32,8 +31,8 @@ from repro.semql.tree import GrammarState
 class _Hypothesis:
     """One partial decode: accumulated score plus decoder state.
 
-    ``state``/``prev`` are Tensors on the reference path and raw numpy
-    arrays on the cached path; the search never looks inside them.
+    ``state``/``prev`` are whatever the step ops return (raw numpy
+    arrays for :class:`StepCache`); the search never looks inside them.
     ``recursive`` counts emitted recursive productions incrementally so
     the budget policy does not rescan ``steps`` every expansion.
     """
@@ -61,9 +60,12 @@ def beam_decode(
     *,
     beam_size: int = 4,
     column_to_table: list[int | None] | None = None,
-    cache: StepCache | None = None,
+    ops: StepCache | None = None,
 ) -> list[DecoderStep]:
     """Grammar-constrained beam search; returns the best complete steps.
+
+    ``ops`` defaults to a fresh per-request :class:`StepCache`, shared
+    by every hypothesis; tests inject other ops implementations here.
 
     Raises:
         ModelError: if no hypothesis completes within the step budget.
@@ -71,7 +73,8 @@ def beam_decode(
     if beam_size < 1:
         raise ValueError(f"beam_size must be positive, got {beam_size}")
     decoder.eval()
-    ops = cache if cache is not None else ReferenceOps(decoder, encoded)
+    if ops is None:
+        ops = StepCache(decoder, encoded)
 
     initial = _Hypothesis(
         score=0.0,

@@ -19,7 +19,7 @@ import numpy as np
 from repro.config import ModelConfig
 from repro.errors import ModelError
 from repro.model.encoder import EncodedExample
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
+from repro.model.stepcache import RECURSIVE_ACTION, StepCache
 from repro.nn.attention import BilinearAttention, PointerNetwork
 from repro.nn.functional import attention_pool, cross_entropy
 from repro.nn.layers import Dropout, Embedding, Linear, Module
@@ -240,7 +240,7 @@ class ValueNetDecoder(Module):
         encoded: EncodedExample,
         *,
         column_to_table: list[int | None] | None = None,
-        cache: "StepCache | None" = None,
+        ops: "StepCache | None" = None,
     ) -> list[DecoderStep]:
         """Greedy grammar-constrained decoding; returns the emitted steps.
 
@@ -251,12 +251,13 @@ class ValueNetDecoder(Module):
                 T pointer that follows a C pointer is constrained to the
                 chosen column's table — every gold tree satisfies this, so
                 the constraint only removes inconsistent predictions.
-            cache: optional per-request :class:`StepCache`; routes the hot
-                loop through the memoized raw-numpy fast path.  Predictions
-                are identical with or without it.
+            ops: the step ops to decode with; defaults to a fresh
+                per-request :class:`StepCache`.  Tests inject other ops
+                implementations here.
         """
         self.eval()
-        ops = cache if cache is not None else ReferenceOps(self, encoded)
+        if ops is None:
+            ops = StepCache(self, encoded)
         state = ops.initial_state()
         prev = ops.start()
         grammar = GrammarState()

@@ -11,19 +11,18 @@ preallocated arena buffers — no autograd ``Tensor`` wrappers, no
 per-step closure allocation.
 
 Numerical contract: the cached path performs the *same floating-point
-operations in the same order* as the Tensor path, so its outputs are
-bit-identical and decoding is prediction-identical with or without the
-cache (locked by ``tests/test_decoder_cache.py``).  First-time values
-(memory projections, feeds, masks, the initial state) are produced by
-the original decoder methods themselves and memoized, which makes the
-equality true by construction for everything request-constant.
+operations in the same order* as the decoder's Tensor methods
+(``_step``, ``_head_logits``, ``sketch_head``), so its outputs are
+bit-identical to them and decoding predicts what the Tensor path would
+(locked by ``tests/test_decoder_cache.py``, which keeps the Tensor path
+as its reference oracle).  First-time values (memory projections,
+feeds, masks, the initial state) are produced by the original decoder
+methods themselves and memoized, which makes the equality true by
+construction for everything request-constant.
 
-Usage: construct one per request (under
-:func:`repro.nn.tensor.inference_mode`) and pass it to
-``ValueNetDecoder.decode(..., cache=...)`` or
-``beam_decode(..., cache=...)``.  Without a cache those entry points
-build a :class:`ReferenceOps` over the unchanged Tensor path — that is
-the differential reference.
+Usage: ``ValueNetDecoder.decode`` and ``beam_decode`` build one per
+request (the model calls them under
+:func:`repro.nn.tensor.inference_mode`).
 
 Greedy decoding additionally ping-pongs the LSTM ``(h, c)`` state
 between two arena buffer pairs (``reuse=True``); beam search allocates
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import NEG_INF, log_softmax, masked_log_softmax
+from repro.nn.functional import NEG_INF
 from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST, NUM_GRAMMAR_ACTIONS
 
 # Grammar actions that expand recursively (Filter and/or conjunctions,
@@ -46,45 +45,6 @@ RECURSIVE_ACTION = np.array([
     for action in GRAMMAR_ACTION_LIST
 ])
 assert RECURSIVE_ACTION.shape == (NUM_GRAMMAR_ACTIONS,)
-
-
-class ReferenceOps:
-    """The uncached decoder ops: thin delegation to the Tensor path.
-
-    Exists so ``decode``/``beam_decode`` are written once against one
-    interface; this implementation is the differential baseline and must
-    keep calling the decoder's original methods unchanged.
-    """
-
-    def __init__(self, decoder, encoded):
-        self.decoder = decoder
-        self.encoded = encoded
-
-    def initial_state(self):
-        return self.decoder._initial_state(self.encoded)
-
-    def start(self):
-        return self.decoder.start_embedding
-
-    def step(self, prev, state, *, reuse: bool = False):
-        return self.decoder._step(prev, state, self.encoded)
-
-    def pointer_scores(self, kind: str, h) -> np.ndarray:
-        return self.decoder._head_logits(kind, h, self.encoded).data
-
-    def pointer_log_probs(self, kind: str, h) -> np.ndarray:
-        return log_softmax(self.decoder._head_logits(kind, h, self.encoded)).data
-
-    def grammar_mask(self, expected, **flags):
-        return self.decoder._grammar_mask(
-            expected, self.encoded.num_values, **flags
-        )
-
-    def sketch_log_probs(self, h, mask) -> np.ndarray:
-        return masked_log_softmax(self.decoder.sketch_head(h), mask).data
-
-    def feed(self, kind: str, index: int):
-        return self.decoder._feed_embedding(kind, index, self.encoded)
 
 
 class StepCache:

@@ -16,7 +16,6 @@ from repro.errors import ModelError
 from repro.model.decoder import DecoderStep, ValueNetDecoder
 from repro.model.encoder import EncodedExample, ValueNetEncoder
 from repro.model.featurize import SchemaFeatureCache, featurize
-from repro.model.stepcache import StepCache
 from repro.model.supervision import steps_to_tree, tree_to_steps
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, ParamGroup
@@ -106,24 +105,18 @@ class ValueNetModel(Module):
         encoded: EncodedExample,
         beam_size: int,
         column_to_table: list[int | None],
-        *,
-        use_cache: bool = True,
     ) -> list[DecoderStep]:
-        # One StepCache per request: memoized pointer memory projections,
-        # feed embeddings and grammar masks, plus an arena for the LSTM
-        # hot loop.  Predictions are identical with or without it
-        # (``use_cache=False`` exists for the benchmark baseline).
-        cache = StepCache(self.decoder, encoded) if use_cache else None
+        # Both decoders build one StepCache per request: memoized pointer
+        # memory projections, feed embeddings and grammar masks, plus an
+        # arena for the LSTM hot loop.
         if beam_size > 1:
             from repro.model.beam import beam_decode
 
             return beam_decode(
                 self.decoder, encoded, beam_size=beam_size,
-                column_to_table=column_to_table, cache=cache,
+                column_to_table=column_to_table,
             )
-        return self.decoder.decode(
-            encoded, column_to_table=column_to_table, cache=cache
-        )
+        return self.decoder.decode(encoded, column_to_table=column_to_table)
 
     def loss(
         self,

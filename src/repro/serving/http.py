@@ -40,17 +40,32 @@ Status codes: 200 on success (including degraded responses — the
 degradation contract lives in the body, not the status), 400 on malformed
 requests, 401/403 on auth failures (403 also carries policy blocks —
 the body's ``"reason"`` distinguishes), 404 on unknown paths or databases,
-413 on oversized request bodies, 429 on per-tenant limits, 503 when load
-is shed (queue full, service stopping/warming, or — in cluster mode — no
-live worker for the shard).  Every 503 body carries ``"retriable": true``:
+411 on requests with ``Transfer-Encoding``, 413 on oversized request
+bodies, 429 on per-tenant limits, 503 when load is shed (queue full,
+service stopping/warming, or — in cluster mode — no live worker for the
+shard).  Every 503 body carries ``"retriable": true``:
 the request was *not* processed and may safely be retried elsewhere.
 
-The actual route logic lives in :mod:`repro.serving.routes`, shared
-byte-for-byte with the selectors-based implementation in
-:mod:`repro.serving.async_http`; this module is only the
-thread-per-connection transport around it.  Pick an implementation with
-``repro serve --http-impl {threaded,async}`` (threaded remains the
-default and the fallback).
+The route logic lives in :mod:`repro.serving.routes`; this module is
+the thread-per-connection transport around it (stdlib
+:class:`~http.server.ThreadingHTTPServer`, HTTP/1.1 keep-alive).  Wire
+rules:
+
+* Bodies must come with ``Content-Length``.  A request carrying
+  ``Transfer-Encoding`` (e.g. ``chunked``) is answered 411 and the
+  connection closed, since its body bytes would otherwise be read as the
+  next request.  Bodies over 64 KiB are refused with 413 before they are
+  read, and the connection closed.
+* Protocol errors the stdlib detects itself (malformed request line,
+  oversized header block, unsupported method) get the same JSON error
+  body as every route, and close the connection.
+* Every socket read and write on a connection times out after
+  :attr:`ServingRequestHandler.timeout` seconds, which closes idle
+  keep-alive connections and stalled header or body reads.  The timeout
+  is per operation, not a deadline on the whole request.
+* There is no connection cap: every accepted connection gets a thread.
+  Bound concurrency in front of the server (load balancer, proxy) when
+  that matters.
 
 The server may be constructed before its service exists
 (``service=None``) and bound to one later via :meth:`ServingServer.attach`;
@@ -64,19 +79,22 @@ from __future__ import annotations
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serving import routes
-from repro.serving.routes import (  # noqa: F401  (re-exported, public API)
-    MAX_BODY_BYTES,
-    tenant_latency_stats,
-)
 from repro.serving.service import TranslationService
 
 
 class ServingRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serving/1.0"
     protocol_version = "HTTP/1.1"
+    # Without this, an error found before the request line's version is
+    # known (say ``NONSENSE\r\n``) is answered HTTP/0.9-style: a bare
+    # body with no status line.
+    default_request_version = "HTTP/1.0"
+    # Seconds a single socket read or write may block (applied by
+    # StreamRequestHandler.setup); a timed-out read closes the connection.
+    timeout = 30.0
     # Headers and body go out in separate writes; without TCP_NODELAY the
     # second write stalls behind the peer's delayed ACK (~40 ms per
-    # response on loopback).  The async front door sets it too.
+    # response on loopback).
     disable_nagle_algorithm = True
 
     @property
@@ -87,14 +105,34 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
-    def _write(self, response: routes.Response) -> None:
+    def _write(self, response: routes.Response, *, close: bool = False) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers:
             self.send_header(name, value)
+        if close:
+            # Also sets close_connection: this is the last response.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(response.body)
+
+    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+        """Render the stdlib's own protocol errors as JSON, then close."""
+        self.log_error("code %d, message %s", code, message)
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._write(routes.error_response(code, message), close=True)
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(
+                411, "Transfer-Encoding is not supported; send Content-Length"
+            )
+            return False
+        return True
 
     def do_GET(self) -> None:  # noqa: N802
         self._write(routes.handle(self.service, "GET", self.path, self.headers, None))
@@ -103,13 +141,15 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._write(routes.error_response(400, "bad Content-Length"))
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the stream cannot be reused.
+            self._write(routes.error_response(400, "bad Content-Length"), close=True)
             return
-        if length > MAX_BODY_BYTES:
+        if length > routes.MAX_BODY_BYTES:
             # Refused before reading: the connection is closed (the body
             # is still in flight), which HTTP/1.1 permits for 413.
-            self.close_connection = True
-            self._write(routes.body_too_large())
+            self._write(routes.body_too_large(), close=True)
             return
         body = self.rfile.read(length) if length > 0 else b""
         self._write(

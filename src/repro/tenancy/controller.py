@@ -21,16 +21,12 @@ increment — keeping the added latency well under the 1 ms p99 budget.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.concurrency import make_lock
 from repro.errors import ReproError
+from repro.metrics import MetricsRegistry
 from repro.tenancy.bucket import TokenBucket
 from repro.tenancy.quota import QuotaLedger
 from repro.tenancy.registry import Tenant, TenantRegistry
-
-if TYPE_CHECKING:
-    from repro.metrics import MetricsRegistry
 
 
 class TenancyError(ReproError):
@@ -65,12 +61,8 @@ class TenancyController:
         registry: TenantRegistry,
         *,
         ledger: QuotaLedger | None = None,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
     ):
-        # Deferred import: repro.serving.http imports this module, so a
-        # top-level import of repro.serving here would be circular.
-        from repro.metrics import MetricsRegistry
-
         self.registry = registry
         self.ledger = ledger if ledger is not None else QuotaLedger()
         self.metrics = metrics if metrics is not None else MetricsRegistry()

@@ -19,13 +19,20 @@ from repro.cluster import (
     WorkerStatus,
     protocol,
 )
-from repro.cluster.health import CircuitBreaker, ExponentialBackoff
+from repro.cluster.health import CircuitBreaker
+from repro.concurrency import ExponentialBackoff
 from repro.serving import QueueFullError, UnknownDatabaseError
+
+
+def _frame_pair():
+    """Two connected :class:`FrameConnection` ends (sender, receiver)."""
+    left, right = socket.socketpair()
+    return protocol.FrameConnection(left), protocol.FrameConnection(right)
 
 
 class TestProtocol:
     def test_round_trip_frames(self):
-        left, right = socket.socketpair()
+        sender, receiver = _frame_pair()
         try:
             frames = [
                 protocol.request_frame(
@@ -37,62 +44,69 @@ class TestProtocol:
                 protocol.ping_frame(1),
                 protocol.pong_frame(1, {"status": "ok"}, {"x": 1}),
                 protocol.ready_frame(0, 0.25, ["pets"]),
+                protocol.refresh_frame("pets"),
                 protocol.shutdown_frame(),
             ]
             for frame in frames:
-                protocol.send_frame(left, frame)
+                sender.send(frame)
             for frame in frames:
-                assert protocol.recv_frame(right) == frame
+                assert receiver.recv() == frame
         finally:
-            left.close()
-            right.close()
+            sender.close()
+            receiver.close()
 
     def test_out_of_order_ids_survive_the_wire(self):
-        left, right = socket.socketpair()
+        sender, receiver = _frame_pair()
         try:
-            protocol.send_frame(left, protocol.response_frame(2, {"a": 1}))
-            protocol.send_frame(left, protocol.response_frame(1, {"b": 2}))
-            assert protocol.recv_frame(right)["id"] == 2
-            assert protocol.recv_frame(right)["id"] == 1
+            sender.send(protocol.response_frame(2, {"a": 1}))
+            sender.send(protocol.response_frame(1, {"b": 2}))
+            assert receiver.recv()["id"] == 2
+            assert receiver.recv()["id"] == 1
         finally:
-            left.close()
-            right.close()
+            sender.close()
+            receiver.close()
 
     def test_oversized_frame_refused_on_send(self):
-        left, right = socket.socketpair()
+        sender, receiver = _frame_pair()
         try:
             with pytest.raises(protocol.ProtocolError):
-                protocol.send_frame(
-                    left, {"type": "x", "blob": "a" * (protocol.MAX_FRAME_BYTES + 1)}
+                sender.send(
+                    {"type": "x", "blob": "a" * (protocol.MAX_FRAME_BYTES + 1)}
                 )
         finally:
-            left.close()
-            right.close()
+            sender.close()
+            receiver.close()
 
     def test_clean_eof_raises_peer_closed(self):
-        left, right = socket.socketpair()
-        left.close()
+        # EOF right after a complete frame is a frame boundary: the
+        # reader's partial-frame state must have been reset.
+        sender, receiver = _frame_pair()
         try:
+            sender.send(protocol.shutdown_frame())
+            sender.close()
+            assert receiver.recv() == protocol.shutdown_frame()
             with pytest.raises(protocol.PeerClosedError):
-                protocol.recv_frame(right)
+                receiver.recv()
         finally:
-            right.close()
+            receiver.close()
 
     def test_non_object_frame_rejected(self):
         left, right = socket.socketpair()
+        conn = protocol.FrameConnection(right)
         try:
             body = b'["not", "an", "object"]'
             left.sendall(len(body).to_bytes(4, "big") + body)
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_frame(right)
+                conn.recv()
         finally:
             left.close()
-            right.close()
+            conn.close()
 
     def test_dribbled_frame_one_byte_at_a_time(self):
         # A peer that trickles one byte per write must not confuse the
-        # stateless reader: recv_into loops until the frame completes.
+        # reader: recv_into loops until the frame completes.
         left, right = socket.socketpair()
+        conn = protocol.FrameConnection(right)
         try:
             frame = protocol.response_frame(3, {"sql": "SELECT 1", "k": "v" * 40})
             body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
@@ -106,12 +120,12 @@ class TestProtocol:
 
             thread = threading.Thread(target=dribble, daemon=True)
             thread.start()
-            assert protocol.recv_frame(right) == frame
+            assert conn.recv() == frame
             done.wait(5.0)
             thread.join(5.0)
         finally:
             left.close()
-            right.close()
+            conn.close()
 
     def test_budget_re_anchoring_is_clock_skew_immune(self):
         # Sender: 1.5 s left on its own clock.
@@ -125,12 +139,8 @@ class TestProtocol:
 
 
 class TestFrameConnection:
-    def _pair(self, **kwargs):
-        left, right = socket.socketpair()
-        return (
-            protocol.FrameConnection(left, **kwargs),
-            protocol.FrameConnection(right),
-        )
+    def _pair(self):
+        return _frame_pair()
 
     def test_json_round_trip(self):
         sender, receiver = self._pair()
@@ -146,7 +156,7 @@ class TestFrameConnection:
             receiver.close()
 
     def test_binary_fast_path_round_trips_large_fields(self):
-        sender, receiver = self._pair(binary=True)
+        sender, receiver = self._pair()
         try:
             big_sql = 'SELECT "' + "x" * 4096 + '"'          # forces a blob
             frame = protocol.response_frame(
@@ -171,17 +181,18 @@ class TestFrameConnection:
             receiver.close()
 
     def test_binary_sender_without_large_fields_emits_plain_json(self):
-        sender, receiver = self._pair(binary=True)
+        sender, receiver = self._pair()
         try:
             frame = protocol.ping_frame(4)
             sender.send(frame)
-            assert receiver.recv() == frame
+            raw = receiver.sock.recv(4096)
+            assert raw[4:] == json.dumps(frame, separators=(",", ":")).encode()
         finally:
             sender.close()
             receiver.close()
 
     def test_reserved_blob_key_refused(self):
-        sender, receiver = self._pair(binary=True)
+        sender, receiver = self._pair()
         try:
             with pytest.raises(protocol.ProtocolError):
                 sender.send({"type": "x", "payload": {"\x00blob": [0, "s"]}})
@@ -225,7 +236,7 @@ class TestFrameConnection:
             left.close()
 
     def test_back_to_back_frames_reuse_the_buffer(self):
-        sender, receiver = self._pair(binary=True)
+        sender, receiver = self._pair()
         try:
             frames = [
                 protocol.response_frame(i, {"sql": "S" * (1 << (i % 12))})

@@ -3,13 +3,15 @@
 The per-request :class:`StepCache` replays the decoder's hot-loop math in
 raw numpy with memoized request constants; the contract is *bitwise*
 equality of every op output and therefore prediction-identical decoding.
-Three layers of evidence:
+The reference is :class:`ReferenceOps` below: the same ops interface,
+delegating to the decoder's original Tensor methods, injected through
+the decoders' ``ops`` parameter.  Three layers of evidence:
 
 * op-level — a replayed action sequence where each step's hidden state,
   pointer scores and sketch log-probs are compared exactly,
 * sequence-level — greedy and beam decoding over every dev example of a
-  synthetic corpus, cached vs uncached,
-* wiring-level — ``ValueNetModel._decode_steps(use_cache=...)`` parity.
+  synthetic corpus, cached vs reference,
+* wiring-level — ``ValueNetModel._decode_steps`` matches the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import pytest
 from repro.config import ModelConfig
 from repro.errors import ModelError
 from repro.model import ValueNetModel, beam_decode, build_vocabulary
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
+from repro.model.stepcache import RECURSIVE_ACTION, StepCache
+from repro.nn.functional import log_softmax, masked_log_softmax
 from repro.preprocessing import Preprocessor
 from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST
 from repro.semql.tree import GrammarState
@@ -30,6 +33,44 @@ TINY = ModelConfig(
     dim=32, num_layers=1, num_heads=2, ff_dim=48, summary_hidden=16,
     decoder_hidden=32, pointer_hidden=24, dropout=0.0, word_dropout=0.0,
 )
+
+
+class ReferenceOps:
+    """The uncached decoder ops: thin delegation to the Tensor path.
+
+    The oracle for :class:`StepCache`; it must keep calling the
+    decoder's original methods unchanged.
+    """
+
+    def __init__(self, decoder, encoded):
+        self.decoder = decoder
+        self.encoded = encoded
+
+    def initial_state(self):
+        return self.decoder._initial_state(self.encoded)
+
+    def start(self):
+        return self.decoder.start_embedding
+
+    def step(self, prev, state, *, reuse: bool = False):
+        return self.decoder._step(prev, state, self.encoded)
+
+    def pointer_scores(self, kind: str, h) -> np.ndarray:
+        return self.decoder._head_logits(kind, h, self.encoded).data
+
+    def pointer_log_probs(self, kind: str, h) -> np.ndarray:
+        return log_softmax(self.decoder._head_logits(kind, h, self.encoded)).data
+
+    def grammar_mask(self, expected, **flags):
+        return self.decoder._grammar_mask(
+            expected, self.encoded.num_values, **flags
+        )
+
+    def sketch_log_probs(self, h, mask) -> np.ndarray:
+        return masked_log_softmax(self.decoder.sketch_head(h), mask).data
+
+    def feed(self, kind: str, index: int):
+        return self.decoder._feed_embedding(kind, index, self.encoded)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +112,8 @@ class TestOpLevelBitwise:
         encoded = model.encode(pre, pets_db.schema)
         decoder = model.decoder
         decoder.eval()
-        steps = decoder.decode(encoded)  # uncached: supplies the actions
+        # The reference supplies the actions.
+        steps = decoder.decode(encoded, ops=ReferenceOps(decoder, encoded))
         assert steps, "decode produced no steps"
 
         ref = ReferenceOps(decoder, encoded)
@@ -119,7 +161,7 @@ class TestOpLevelBitwise:
         pre = Preprocessor(pets_db).run("How many dogs are there?")
         encoded = model.encode(pre, pets_db.schema)
         cache = StepCache(model.decoder, encoded)
-        model.decoder.decode(encoded, cache=cache)
+        model.decoder.decode(encoded, ops=cache)
         # Pointer memory projections: computed at most once per kind.
         assert 1 <= len(cache._pointer_memory) <= 3
         # Repeated lookups return the very same objects, not recomputes.
@@ -170,11 +212,12 @@ class TestSequenceIdentityOnDevSet:
     def test_greedy_cached_matches_reference(self, dev_setup):
         def pair(model, encoded, column_to_table):
             uncached = _outcome(lambda: model.decoder.decode(
-                encoded, column_to_table=column_to_table
+                encoded, column_to_table=column_to_table,
+                ops=ReferenceOps(model.decoder, encoded),
             ))
             cached = _outcome(lambda: model.decoder.decode(
                 encoded, column_to_table=column_to_table,
-                cache=StepCache(model.decoder, encoded),
+                ops=StepCache(model.decoder, encoded),
             ))
             return uncached, cached
 
@@ -185,11 +228,12 @@ class TestSequenceIdentityOnDevSet:
             uncached = _outcome(lambda: beam_decode(
                 model.decoder, encoded, beam_size=3,
                 column_to_table=column_to_table,
+                ops=ReferenceOps(model.decoder, encoded),
             ))
             cached = _outcome(lambda: beam_decode(
                 model.decoder, encoded, beam_size=3,
                 column_to_table=column_to_table,
-                cache=StepCache(model.decoder, encoded),
+                ops=StepCache(model.decoder, encoded),
             ))
             return uncached, cached
 
@@ -198,20 +242,27 @@ class TestSequenceIdentityOnDevSet:
 
 class TestModelWiring:
     @pytest.mark.parametrize("beam_size", [1, 3])
-    def test_decode_steps_use_cache_parity(self, model, pets_db, beam_size):
+    def test_decode_steps_match_reference_ops(self, model, pets_db, beam_size):
         pre = Preprocessor(pets_db).run("List the students from France")
         encoded = model.encode(pre, pets_db.schema)
         column_to_table = [
             None if column.is_star() else pets_db.schema.table_index(column.table)
             for column in pets_db.schema.all_columns()
         ]
-        cached = _outcome(lambda: model._decode_steps(
+        production = _outcome(lambda: model._decode_steps(
             encoded, beam_size, column_to_table
         ))
-        uncached = _outcome(lambda: model._decode_steps(
-            encoded, beam_size, column_to_table, use_cache=False
-        ))
-        assert cached == uncached
+        ops = ReferenceOps(model.decoder, encoded)
+        if beam_size > 1:
+            reference = _outcome(lambda: beam_decode(
+                model.decoder, encoded, beam_size=beam_size,
+                column_to_table=column_to_table, ops=ops,
+            ))
+        else:
+            reference = _outcome(lambda: model.decoder.decode(
+                encoded, column_to_table=column_to_table, ops=ops,
+            ))
+        assert production == reference
 
     def test_predict_defaults_to_cached_path(self, model, pets_db):
         pre = Preprocessor(pets_db).run("How many students are there?")

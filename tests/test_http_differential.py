@@ -1,16 +1,14 @@
-"""Differential lock: threaded vs async front door, byte-identical bodies.
+"""Route matrix for the HTTP front door, status and body.
 
-Both servers delegate to :mod:`repro.serving.routes`; this suite proves
-the delegation is airtight by running the full route matrix —
-translate (200/400/403/404/503), healthz/livez/readyz, metrics,
-tenants (incl. 401/403/429 admission paths) — against a *deterministic*
-fake service mounted behind both implementations at once, and comparing
-response bodies byte for byte.
+Runs every route — translate (200/400/403/404/413/503),
+healthz/livez/readyz, metrics, tenants (incl. 401/403/429 admission
+paths) — against a *deterministic* fake service behind
+:class:`ServingServer`, over a real HTTP client.
 
 The service is fake on purpose: a real ``translate`` stamps wall-clock
-timings into the body, so two live calls never match bytewise.  The
-lock is about the front door, not the model — the fake pins every
-response so any divergence that shows up is transport-layer drift.
+timings into the body and needs a model.  The matrix is about the front
+door and :mod:`repro.serving.routes`, not the model — the fake pins
+every response so each assertion checks the routing and rendering.
 """
 
 from __future__ import annotations
@@ -21,7 +19,8 @@ import threading
 
 import pytest
 
-from repro.serving import AsyncServingServer, MetricsRegistry, ServingServer
+from repro.metrics import MetricsRegistry
+from repro.serving import ServingServer
 from repro.serving.service import (
     QueueFullError,
     ServeResponse,
@@ -115,23 +114,17 @@ class FakeService:
 
 
 @pytest.fixture(scope="module")
-def pair():
-    service = FakeService()
-    threaded = ServingServer(("127.0.0.1", 0), service)
-    asynced = AsyncServingServer(("127.0.0.1", 0), service)
-    threads = [
-        threading.Thread(target=threaded.serve_forever, daemon=True),
-        threading.Thread(target=asynced.serve_forever, daemon=True),
-    ]
-    for thread in threads:
-        thread.start()
-    yield threaded, asynced
-    for server in (threaded, asynced):
-        server.shutdown()
-        server.server_close()
+def server():
+    instance = ServingServer(("127.0.0.1", 0), FakeService())
+    thread = threading.Thread(target=instance.serve_forever, daemon=True)
+    thread.start()
+    yield instance
+    instance.shutdown()
+    instance.server_close()
 
 
-def _request(server, method, path, *, body=None, headers=None):
+def request(server, method, path, *, body=None, headers=None):
+    """One request on a fresh connection; returns ``(status, body)``."""
     host, port = server.server_address[:2]
     conn = http.client.HTTPConnection(host, port, timeout=30)
     try:
@@ -142,156 +135,145 @@ def _request(server, method, path, *, body=None, headers=None):
         conn.close()
 
 
-def both(pair, method, path, *, body=None, headers=None):
-    """Issue the same request to both servers; assert status+body match."""
-    threaded, asynced = pair
-    status_a, body_a = _request(threaded, method, path, body=body, headers=headers)
-    status_b, body_b = _request(asynced, method, path, body=body, headers=headers)
-    assert status_a == status_b, (path, status_a, status_b, body_a, body_b)
-    assert body_a == body_b, (path, body_a, body_b)
-    return status_a, body_a
-
-
-def _post(pair, payload, *, key=None, raw=None):
+def _post(server, payload, *, key=None, raw=None):
     headers = {"Content-Type": "application/json"}
     if key:
         headers["Authorization"] = f"Bearer {key}"
     body = raw if raw is not None else json.dumps(payload).encode("utf-8")
-    return both(pair, "POST", "/translate", body=body, headers=headers)
+    return request(server, "POST", "/translate", body=body, headers=headers)
 
 
 class TestGetMatrix:
-    def test_livez(self, pair):
-        status, body = both(pair, "GET", "/livez")
+    def test_livez(self, server):
+        status, body = request(server, "GET", "/livez")
         assert status == 200
         assert json.loads(body) == {"live": True}
 
-    def test_readyz(self, pair):
-        status, _ = both(pair, "GET", "/readyz")
+    def test_readyz(self, server):
+        status, _ = request(server, "GET", "/readyz")
         assert status == 200
 
-    def test_healthz(self, pair):
-        status, body = both(pair, "GET", "/healthz")
+    def test_healthz(self, server):
+        status, body = request(server, "GET", "/healthz")
         assert status == 200
         assert json.loads(body)["databases"] == ["pets"]
 
-    def test_metrics_text(self, pair):
-        status, _ = both(pair, "GET", "/metrics")
+    def test_metrics_text(self, server):
+        status, _ = request(server, "GET", "/metrics")
         assert status == 200
 
-    def test_metrics_json(self, pair):
-        status, _ = both(pair, "GET", "/metrics?format=json")
+    def test_metrics_json(self, server):
+        status, _ = request(server, "GET", "/metrics?format=json")
         assert status == 200
 
-    def test_unknown_path(self, pair):
-        status, _ = both(pair, "GET", "/nope")
+    def test_unknown_path(self, server):
+        status, _ = request(server, "GET", "/nope")
         assert status == 404
 
-    def test_tenants_requires_key(self, pair):
-        status, _ = both(pair, "GET", "/tenants")
+    def test_tenants_requires_key(self, server):
+        status, _ = request(server, "GET", "/tenants")
         assert status == 401
 
-    def test_tenants_non_admin_forbidden(self, pair):
-        status, _ = both(
-            pair, "GET", "/tenants",
+    def test_tenants_non_admin_forbidden(self, server):
+        status, _ = request(
+            server, "GET", "/tenants",
             headers={"Authorization": f"Bearer {GOOD_KEY}"},
         )
         assert status == 403
 
-    def test_tenants_admin(self, pair):
-        status, body = both(
-            pair, "GET", "/tenants",
+    def test_tenants_admin(self, server):
+        status, body = request(
+            server, "GET", "/tenants",
             headers={"Authorization": f"Bearer {ADMIN_KEY}"},
         )
         assert status == 200
         assert json.loads(body)["tenants"][0]["id"] == "acme"
 
-    def test_tenant_usage(self, pair):
-        status, _ = both(
-            pair, "GET", "/tenants/acme/usage",
+    def test_tenant_usage(self, server):
+        status, _ = request(
+            server, "GET", "/tenants/acme/usage",
             headers={"Authorization": f"Bearer {GOOD_KEY}"},
         )
         assert status == 200
 
-    def test_tenant_usage_unknown(self, pair):
-        status, _ = both(
-            pair, "GET", "/tenants/ghost/usage",
+    def test_tenant_usage_unknown(self, server):
+        status, _ = request(
+            server, "GET", "/tenants/ghost/usage",
             headers={"Authorization": f"Bearer {ADMIN_KEY}"},
         )
         assert status == 404
 
 
 class TestTranslateMatrix:
-    def test_success(self, pair):
+    def test_success(self, server):
         status, body = _post(
-            pair, {"question": "How many pets?", "database_id": "pets"},
+            server, {"question": "How many pets?", "database_id": "pets"},
             key=GOOD_KEY,
         )
         assert status == 200
         assert json.loads(body)["sql"] == "SELECT count(*) FROM pets"
 
-    def test_policy_block_403(self, pair):
+    def test_policy_block_403(self, server):
         status, body = _post(
-            pair, {"question": "blocked", "database_id": "pets"}, key=GOOD_KEY
+            server, {"question": "blocked", "database_id": "pets"}, key=GOOD_KEY
         )
         assert status == 403
         payload = json.loads(body)
         assert payload["reason"] == "policy"
         assert payload["rule_id"] == "blocked-keyword"
 
-    def test_unknown_database_404(self, pair):
+    def test_unknown_database_404(self, server):
         status, _ = _post(
-            pair, {"question": "q", "database_id": "missing"}, key=GOOD_KEY
+            server, {"question": "q", "database_id": "missing"}, key=GOOD_KEY
         )
         assert status == 404
 
-    def test_queue_full_503(self, pair):
-        status, body = _post(pair, {"question": "overload"}, key=GOOD_KEY)
+    def test_queue_full_503(self, server):
+        status, body = _post(server, {"question": "overload"}, key=GOOD_KEY)
         assert status == 503
         assert json.loads(body)["retriable"] is True
 
-    def test_bad_params_400(self, pair):
-        status, _ = _post(pair, {"question": "badparam"}, key=GOOD_KEY)
+    def test_bad_params_400(self, server):
+        status, _ = _post(server, {"question": "badparam"}, key=GOOD_KEY)
         assert status == 400
 
-    def test_missing_question_400(self, pair):
-        status, _ = _post(pair, {"database_id": "pets"}, key=GOOD_KEY)
+    def test_missing_question_400(self, server):
+        status, _ = _post(server, {"database_id": "pets"}, key=GOOD_KEY)
         assert status == 400
 
-    def test_invalid_json_400(self, pair):
-        status, _ = _post(pair, None, key=GOOD_KEY, raw=b"{not json")
+    def test_invalid_json_400(self, server):
+        status, _ = _post(server, None, key=GOOD_KEY, raw=b"{not json")
         assert status == 400
 
-    def test_empty_body_400(self, pair):
-        status, _ = _post(pair, None, key=GOOD_KEY, raw=b"")
+    def test_empty_body_400(self, server):
+        status, _ = _post(server, None, key=GOOD_KEY, raw=b"")
         assert status == 400
 
-    def test_missing_key_401(self, pair):
-        status, body = _post(pair, {"question": "q"})
+    def test_missing_key_401(self, server):
+        status, body = _post(server, {"question": "q"})
         assert status == 401
         assert json.loads(body)["reason"] == "auth"
 
-    def test_rate_limited_429(self, pair):
-        status, body = _post(pair, {"question": "q"}, key=LIMITED_KEY)
+    def test_rate_limited_429(self, server):
+        status, body = _post(server, {"question": "q"}, key=LIMITED_KEY)
         assert status == 429
         assert json.loads(body)["reason"] == "rate_limited"
 
-    def test_quota_429(self, pair):
-        status, body = _post(pair, {"question": "q"}, key=CAPPED_KEY)
+    def test_quota_429(self, server):
+        status, body = _post(server, {"question": "q"}, key=CAPPED_KEY)
         assert status == 429
         assert json.loads(body)["reason"] == "quota"
 
-    def test_oversized_body_413(self, pair):
-        # Threaded closes without draining the body; async refuses from
-        # the Content-Length alone.  Both must answer 413, same body.
+    def test_oversized_body_413(self, server):
+        # Refused from the Content-Length alone; the body is not drained.
         raw = json.dumps({"question": "x" * (70 * 1024)}).encode("utf-8")
-        status, body = _post(pair, None, key=GOOD_KEY, raw=raw)
+        status, body = _post(server, None, key=GOOD_KEY, raw=raw)
         assert status == 413
         assert b"64 KiB" in body
 
-    def test_post_unknown_path_404(self, pair):
-        status, _ = both(
-            pair, "POST", "/nope",
+    def test_post_unknown_path_404(self, server):
+        status, _ = request(
+            server, "POST", "/nope",
             body=b"{}", headers={"Content-Type": "application/json"},
         )
         assert status == 404

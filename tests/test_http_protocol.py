@@ -1,11 +1,9 @@
-"""Protocol-edge tests for the selectors-based async front door.
+"""Protocol-edge tests for the threaded HTTP front door.
 
-The differential suite (``test_http_differential.py``) proves both
-implementations return the same bodies; this one drives the async
-server with raw sockets to exercise what an HTTP library never sends:
-split request lines, dribbled headers, pipelined bursts, oversized and
-chunked bodies, slowloris stalls, connection caps, and drain while a
-keep-alive connection is open.
+The route matrix (``test_http_differential.py``) drives the server with
+a real HTTP client; this one drives it with raw sockets to exercise what
+an HTTP library never sends: split request lines, pipelined bursts,
+oversized, chunked and malformed requests, and stalled headers.
 """
 
 from __future__ import annotations
@@ -17,10 +15,11 @@ import time
 
 import pytest
 
+from repro.metrics import MetricsRegistry
 from repro.serving import (
-    AsyncServingServer,
     DatabaseRuntime,
-    MetricsRegistry,
+    ServingRequestHandler,
+    ServingServer,
     TranslationService,
 )
 from repro.serving.service import ServeResponse
@@ -31,8 +30,6 @@ class FastService:
 
     def __init__(self):
         self.metrics = MetricsRegistry()
-        self.block_started = threading.Event()
-        self.block_release: threading.Event | None = None
 
     def is_ready(self):
         return True
@@ -41,9 +38,6 @@ class FastService:
         return {"status": "ok", "ready": True}
 
     def translate(self, question, database_id=None, **kwargs):
-        if self.block_release is not None:
-            self.block_started.set()
-            assert self.block_release.wait(30.0), "test never released translate"
         response = ServeResponse(question=question, database_id="pets")
         response.sql = "SELECT 1"
         response.engine = "heuristic"
@@ -58,11 +52,18 @@ def _start(server):
 
 @pytest.fixture
 def server():
-    instance = AsyncServingServer(("127.0.0.1", 0), FastService())
+    instance = ServingServer(("127.0.0.1", 0), FastService())
     _start(instance)
     yield instance
     instance.shutdown()
     instance.server_close()
+
+
+@pytest.fixture
+def short_timeout(monkeypatch):
+    """Shrink the handler's per-read socket timeout to 0.3 s."""
+    assert ServingRequestHandler.timeout, "the handler ships without a read timeout"
+    monkeypatch.setattr(ServingRequestHandler, "timeout", 0.3)
 
 
 def _connect(server) -> socket.socket:
@@ -135,9 +136,8 @@ class TestKeepAliveAndPipelining:
                 sock.sendall(_post({"question": "hi"}))
                 status, headers, body = _read_response(sock)
                 assert status == 200
-                assert headers["connection"] == "keep-alive"
+                assert headers.get("connection") != "close"
                 assert json.loads(body)["sql"] == "SELECT 1"
-            assert server.connections_accepted == 1
         finally:
             sock.close()
 
@@ -177,9 +177,11 @@ class TestProtocolErrors:
         sock = _connect(server)
         try:
             sock.sendall(b"NONSENSE\r\nHost: t\r\n\r\n")
-            status, headers, _ = _read_response(sock)
+            status, headers, body = _read_response(sock)
             assert status == 400
             assert headers["connection"] == "close"
+            assert headers["content-type"] == "application/json"
+            assert "NONSENSE" in json.loads(body)["error"]
             _assert_closed(sock)
         finally:
             sock.close()
@@ -208,144 +210,78 @@ class TestProtocolErrors:
                 b"POST /translate HTTP/1.1\r\nHost: t\r\n"
                 b"Content-Length: banana\r\n\r\n"
             )
-            status, _, _ = _read_response(sock)
+            status, headers, _ = _read_response(sock)
             assert status == 400
+            assert headers["connection"] == "close"
+            _assert_closed(sock)
         finally:
             sock.close()
 
-    def test_chunked_body_decoded(self, server):
+    def test_chunked_post_411_and_close(self, server):
+        # The chunk bytes must not be read as a second request on the
+        # kept-alive connection: exactly one JSON 411, then EOF.
         body = json.dumps({"question": "chunky"}).encode()
-        sock = _connect(server)
-        try:
-            head = (
-                b"POST /translate HTTP/1.1\r\nHost: t\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n"
-            )
-            chunks = b""
-            for i in range(0, len(body), 5):
-                piece = body[i:i + 5]
-                chunks += f"{len(piece):x}\r\n".encode() + piece + b"\r\n"
-            chunks += b"0\r\n\r\n"
-            sock.sendall(head + chunks)
-            status, _, out = _read_response(sock)
-            assert status == 200
-            assert json.loads(out)["question"] == "chunky"
-        finally:
-            sock.close()
-
-    def test_chunked_body_over_limit_413(self, server):
         sock = _connect(server)
         try:
             sock.sendall(
                 b"POST /translate HTTP/1.1\r\nHost: t\r\n"
                 b"Transfer-Encoding: chunked\r\n\r\n"
-                b"20000\r\n"  # a single 128 KiB chunk announcement
+                + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
             )
-            status, _, _ = _read_response(sock)
-            assert status == 413
+            status, headers, out = _read_response(sock)
+            assert status == 411
+            assert headers["connection"] == "close"
+            assert "Transfer-Encoding" in json.loads(out)["error"]
+            _assert_closed(sock)
+        finally:
+            sock.close()
+
+    def test_oversized_header_block_431_json(self, server):
+        sock = _connect(server)
+        try:
+            sock.sendall(
+                b"GET /livez HTTP/1.1\r\n" + b"X-Pad: x\r\n" * 200 + b"\r\n"
+            )
+            status, headers, body = _read_response(sock)
+            assert status == 431
+            assert headers["content-type"] == "application/json"
+            assert json.loads(body)["error"]
             _assert_closed(sock)
         finally:
             sock.close()
 
 
 class TestDeadlines:
-    def test_slowloris_header_stall_is_cut_off(self):
-        server = AsyncServingServer(
-            ("127.0.0.1", 0), FastService(), header_deadline_s=0.3
-        )
-        _start(server)
+    def test_slowloris_header_stall_is_cut_off(self, short_timeout, server):
+        sock = _connect(server)
         try:
-            sock = _connect(server)
-            try:
-                sock.sendall(b"GET /livez HTTP/1.1\r\nHost: t\r\n")  # never finishes
-                start = time.monotonic()
-                _assert_closed(sock, deadline_s=10.0)
-                # Closed by the deadline, not by the test timeout.
-                assert time.monotonic() - start < 5.0
-            finally:
-                sock.close()
+            sock.sendall(b"GET /livez HTTP/1.1\r\nHost: t\r\n")  # never finishes
+            start = time.monotonic()
+            _assert_closed(sock, deadline_s=10.0)
+            # Closed by the read timeout, not by the test timeout.
+            assert time.monotonic() - start < 5.0
         finally:
-            server.shutdown()
-            server.server_close()
+            sock.close()
 
-    def test_fast_requests_unaffected_by_deadline(self):
-        server = AsyncServingServer(
-            ("127.0.0.1", 0), FastService(), header_deadline_s=0.3
-        )
-        _start(server)
+    def test_idle_keep_alive_connection_is_closed(self, short_timeout, server):
+        sock = _connect(server)
         try:
-            sock = _connect(server)
-            try:
-                sock.sendall(_get("/livez"))
-                status, _, _ = _read_response(sock)
-                assert status == 200
-            finally:
-                sock.close()
+            sock.sendall(_get("/livez"))
+            assert _read_response(sock)[0] == 200
+            start = time.monotonic()
+            _assert_closed(sock, deadline_s=10.0)
+            assert time.monotonic() - start < 5.0
         finally:
-            server.shutdown()
-            server.server_close()
+            sock.close()
 
-
-class TestBoundedConnections:
-    def test_connection_cap_defers_accepts(self):
-        server = AsyncServingServer(
-            ("127.0.0.1", 0), FastService(), max_connections=1
-        )
-        _start(server)
+    def test_fast_requests_unaffected_by_deadline(self, short_timeout, server):
+        sock = _connect(server)
         try:
-            first = _connect(server)
-            second = _connect(server)  # connects (backlog) but not accepted
-            try:
-                first.sendall(_get("/livez"))
-                assert _read_response(first)[0] == 200
-                second.sendall(_get("/livez"))
-                second.settimeout(0.5)
-                with pytest.raises(TimeoutError):
-                    second.recv(4096)  # still parked behind the cap
-                first.close()  # frees the slot; accept resumes
-                second.settimeout(10)
-                status, _, body = _read_response(second)
-                assert (status, json.loads(body)) == (200, {"live": True})
-            finally:
-                second.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-
-
-class TestGracefulDrain:
-    def test_drain_closes_idle_keepalive_and_finishes_inflight(self):
-        service = FastService()
-        service.block_release = threading.Event()
-        server = AsyncServingServer(("127.0.0.1", 0), service)
-        _start(server)
-        idle = _connect(server)
-        busy = _connect(server)
-        try:
-            # idle: completes one request, then sits in keep-alive.
-            idle.sendall(_get("/livez"))
-            assert _read_response(idle)[0] == 200
-            # busy: a translate parked inside the service.
-            busy.sendall(_post({"question": "slow"}))
-            assert service.block_started.wait(10.0)
-
-            drainer = threading.Thread(target=server.shutdown, daemon=True)
-            drainer.start()
-            # The idle keep-alive connection is closed immediately...
-            _assert_closed(idle)
-            # ...the in-flight one finishes, tagged Connection: close.
-            service.block_release.set()
-            status, headers, body = _read_response(busy)
+            sock.sendall(_get("/livez"))
+            status, _, _ = _read_response(sock)
             assert status == 200
-            assert json.loads(body)["sql"] == "SELECT 1"
-            assert headers["connection"] == "close"
-            _assert_closed(busy)
-            drainer.join(10.0)
-            assert not drainer.is_alive()
         finally:
-            idle.close()
-            busy.close()
-            server.server_close()
+            sock.close()
 
 
 class TestRealService:
@@ -353,7 +289,7 @@ class TestRealService:
         service = TranslationService(
             [DatabaseRuntime(pets_db, database_id="pets")], workers=2
         ).start()
-        server = AsyncServingServer(("127.0.0.1", 0), service)
+        server = ServingServer(("127.0.0.1", 0), service)
         _start(server)
         try:
             sock = _connect(server)

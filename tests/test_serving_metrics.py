@@ -1,4 +1,4 @@
-"""Unit tests for the serving metrics registry and histogram math."""
+"""Unit tests for the metrics registry and histogram math."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import threading
 
 import pytest
 
-from repro.serving import MetricsRegistry
-from repro.serving.metrics import (
+from repro.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsRegistry,
     merge_snapshots,
     quantile_from_snapshot,
     render_snapshot_text,
