@@ -19,6 +19,15 @@ See README.md for the full quickstart and DESIGN.md for the system
 inventory and the per-experiment index.
 """
 
+import os
+
+# One BLAS thread unless the deployment says otherwise.  The model's
+# matmuls are small (tens to a few hundred rows), where OpenBLAS's thread
+# hand-off costs far more than the product itself; parallelism comes from
+# server threads and cluster worker processes instead.  Set before any
+# module below imports numpy, since OpenBLAS reads it once at load time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.config import ModelConfig, TrainingConfig
 from repro.db import Database
 from repro.errors import ReproError

@@ -5,7 +5,8 @@ tables ⊕ value candidates with their locations); each input piece embeds
 its WordPiece id plus segment, hint and column-type features and a
 sinusoidal position.  Item encodings are then produced by summarizing each
 item's piece span with a BiLSTM (the paper: "bi-directional LSTM networks
-to summarize multi-token columns/tables/values").
+to summarize multi-token columns/tables/values").  The encoder has one
+forward, over a list of inputs: single questions, batches and training.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.model.featurize import (
 )
 from repro.nn.layers import Embedding, Module
 from repro.nn.rnn import BiLSTMSummarizer
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, concat
 from repro.nn.transformer import TransformerEncoder, sinusoidal_positions
 
 
@@ -93,69 +94,20 @@ class ValueNetEncoder(Module):
             self._position_cache[length] = cached
         return cached
 
-    def __call__(self, encoder_input: EncoderInput) -> EncodedExample:
-        piece_ids = encoder_input.piece_ids
-        if self.training and self.config.word_dropout > 0:
-            # Word-level dropout: random pieces become [UNK] so the model
-            # cannot rely purely on memorized surface forms — essential for
-            # transfer to the unseen dev databases.
-            unk = 1  # WordPieceVocab's fixed [UNK] id
-            keep = self._word_dropout_rng.random(len(piece_ids))
-            piece_ids = [
-                pid if keep[i] >= self.config.word_dropout else unk
-                for i, pid in enumerate(piece_ids)
-            ]
-        pieces = self.piece_embedding(piece_ids)
-        segments = self.segment_embedding(encoder_input.segment_ids)
-        hints = self.hint_embedding(encoder_input.hint_ids)
-        types = self.type_embedding(encoder_input.type_ids)
-        positions = Tensor(self._positions(encoder_input.length) * 0.1)
-        embedded = pieces + segments + hints + types + positions
-
-        contextual = self.transformer(embedded)
-
-        question = self._summarize_spans(contextual, encoder_input.question_spans)
-        columns = self._summarize_spans(contextual, encoder_input.column_spans)
-        tables = self._summarize_spans(contextual, encoder_input.table_spans)
-        values = (
-            self._summarize_spans(contextual, encoder_input.value_spans)
-            if encoder_input.value_spans
-            else None
-        )
-        if encoder_input.column_hints:
-            columns = columns + self.output_column_hint(encoder_input.column_hints)
-        if encoder_input.table_hints:
-            tables = tables + self.output_table_hint(encoder_input.table_hints)
-        if values is not None and encoder_input.value_located:
-            values = values + self.output_value_located(encoder_input.value_located)
-        summary = contextual[0]
-        return EncodedExample(question, columns, tables, values, summary)
-
-    def _summarize_spans(self, contextual: Tensor, spans: list[ItemSpan]) -> Tensor:
-        summaries = [
-            self.summarizer(contextual[span.start:span.end]) for span in spans
-        ]
-        return stack(summaries, axis=0)
-
-    # ------------------------------------------------------- batched path
-
-    def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
-        """Encode a micro-batch with one padded transformer forward.
+    def __call__(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
+        """Encode one or more questions with one transformer forward.
 
         Sequences are right-padded to the batch maximum and the attention
-        is masked over padding, so every real position sees exactly the
-        keys it would unbatched; item spans are then summarized in fused
-        equal-length groups across the whole batch.  The result matches
-        per-example :meth:`__call__` outputs to floating-point tolerance.
-
-        Inference-only: word dropout is not applied (run under ``eval()``
-        — the serving path does).
+        is masked over padding (no mask when nothing is padded, e.g. a
+        single input), so every real position sees exactly the keys it
+        would alone.  Item spans of every input are then summarized in
+        fused equal-length groups: one BiLSTM pass per distinct span
+        length.  The same path serves training (autograd graph, word
+        dropout) and inference (run under ``eval()`` and
+        :func:`~repro.nn.tensor.inference_mode`).
         """
         if not inputs:
             return []
-        if len(inputs) == 1:
-            return [self(inputs[0])]
-
         batch = len(inputs)
         max_len = max(inp.length for inp in inputs)
         piece = np.zeros((batch, max_len), dtype=np.int64)
@@ -170,6 +122,12 @@ class ValueNetEncoder(Module):
             hint[i, :n] = inp.hint_ids
             type_[i, :n] = inp.type_ids
             mask[i, :n] = True
+            if self.training and self.config.word_dropout > 0:
+                # Word-level dropout: random pieces become [UNK] so the
+                # model cannot rely purely on memorized surface forms —
+                # essential for transfer to the unseen dev databases.
+                keep = self._word_dropout_rng.random(n)
+                piece[i, :n][keep < self.config.word_dropout] = 1  # [UNK]
 
         embedded = (
             self.piece_embedding(piece)
@@ -178,42 +136,40 @@ class ValueNetEncoder(Module):
             + self.type_embedding(type_)
             + Tensor(self._positions(max_len) * 0.1)
         )
-        contextual = self.transformer(embedded, mask=mask)
+        contextual = self.transformer(embedded, mask=None if mask.all() else mask)
 
-        # Summarize every item span of every example, grouped by span
-        # length so each group is one fused pass through the BiLSTM.
-        categories = ("question", "column", "table", "value")
-        by_length: dict[int, list[tuple[int, str, int, int, int]]] = {}
-        for i, inp in enumerate(inputs):
-            for kind, spans in zip(categories, (
-                inp.question_spans, inp.column_spans,
-                inp.table_spans, inp.value_spans,
-            )):
+        # Summarize every item span of every input, grouped by span
+        # length so each group is one fused pass through the BiLSTM; the
+        # group outputs are concatenated and gathered back per item kind.
+        kinds = [
+            (inp.question_spans, inp.column_spans, inp.table_spans, inp.value_spans)
+            for inp in inputs
+        ]
+        by_length: dict[int, list[tuple[int, int, int, ItemSpan]]] = {}
+        for i, by_kind in enumerate(kinds):
+            for k, spans in enumerate(by_kind):
                 for j, span in enumerate(spans):
                     by_length.setdefault(span.end - span.start, []).append(
-                        (i, kind, j, span.start, span.end)
+                        (i, k, j, span)
                     )
-        summaries: dict[tuple[int, str, int], Tensor] = {}
-        for group in by_length.values():
-            rows = self.summarizer.summarize_spans(
-                contextual, [(i, start, end) for i, _, _, start, end in group]
+        groups = list(by_length.values())
+        summaries = concat([
+            self.summarizer.summarize_spans(
+                contextual, [(i, span.start, span.end) for i, _, _, span in group]
             )
-            for row, (i, kind, j, _, _) in enumerate(group):
-                summaries[(i, kind, j)] = rows[row]
+            for group in groups
+        ], axis=0)
+        rows = [[[0] * len(spans) for spans in by_kind] for by_kind in kinds]
+        flat = (entry for group in groups for entry in group)
+        for row, (i, k, j, _) in enumerate(flat):
+            rows[i][k][j] = row
 
         out: list[EncodedExample] = []
         for i, inp in enumerate(inputs):
-            def gather(kind: str, count: int, example: int = i) -> Tensor | None:
-                if count == 0:
-                    return None
-                return stack(
-                    [summaries[(example, kind, j)] for j in range(count)], axis=0
-                )
-
-            question = gather("question", len(inp.question_spans))
-            columns = gather("column", len(inp.column_spans))
-            tables = gather("table", len(inp.table_spans))
-            values = gather("value", len(inp.value_spans))
+            question, columns, tables, values = (
+                summaries[np.array(kind_rows)] if kind_rows else None
+                for kind_rows in rows[i]
+            )
             if inp.column_hints:
                 columns = columns + self.output_column_hint(inp.column_hints)
             if inp.table_hints:

@@ -44,9 +44,10 @@ class ValueNetModel(Module):
     # ------------------------------------------------------------ forward
 
     def encode(self, pre: PreprocessedQuestion, schema: Schema) -> EncodedExample:
+        """Encode one question in the current mode (the training entry)."""
         return self.encoder(
-            featurize(pre, schema, self.vocab, cache=self.schema_cache)
-        )
+            [featurize(pre, schema, self.vocab, cache=self.schema_cache)]
+        )[0]
 
     def encode_batch(
         self, pres: list[PreprocessedQuestion], schema: Schema
@@ -54,7 +55,8 @@ class ValueNetModel(Module):
         """Encode a micro-batch of questions over one schema at once.
 
         Runs in eval mode under :func:`inference_mode` — one padded
-        transformer forward for the whole batch, no autograd graph.
+        transformer forward for the whole batch, no autograd graph.  This
+        is the inference entry for every batch size, one included.
         """
         was_training = self.training
         self.eval()
@@ -64,7 +66,7 @@ class ValueNetModel(Module):
                     featurize(pre, schema, self.vocab, cache=self.schema_cache)
                     for pre in pres
                 ]
-                return self.encoder.encode_batch(inputs)
+                return self.encoder(inputs)
         finally:
             if was_training:
                 self.train()
@@ -85,8 +87,8 @@ class ValueNetModel(Module):
     ) -> SemQLNode:
         """Decode an already-encoded example into a SemQL tree.
 
-        Used by the serving batch path: encode once per micro-batch via
-        :meth:`encode_batch`, then decode per request.
+        Inference encodes once per micro-batch via :meth:`encode_batch`,
+        then decodes per question.
         """
         was_training = self.training
         self.eval()
@@ -147,18 +149,8 @@ class ValueNetModel(Module):
             ModelError: when decoding cannot complete (e.g. a value is
                 required but no candidates exist).
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with inference_mode():
-                encoded = self.encode(pre, schema)
-                steps = self._decode_steps(
-                    encoded, beam_size, self._column_to_table(schema)
-                )
-        finally:
-            if was_training:
-                self.train()
-        return steps_to_tree(steps, schema, pre.candidates)
+        encoded = self.encode_batch([pre], schema)[0]
+        return self.decode_encoded(encoded, pre, schema, beam_size=beam_size)
 
     # ------------------------------------------------------ optimization
 

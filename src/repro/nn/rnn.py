@@ -1,4 +1,4 @@
-"""Recurrent modules: LSTM cell, unidirectional LSTM, BiLSTM summarizer.
+"""Recurrent modules: LSTM cell and BiLSTM span summarizer.
 
 The decoder is an LSTM (paper Section III-B2), and multi-token schema
 items / value candidates are summarized by a bidirectional LSTM into a
@@ -6,9 +6,9 @@ single vector (Section V-C: "bi-directional LSTM networks to summarize
 multi-token columns/tables/values").
 
 The cell operates on a single (d,) input or a batched (s, d) stack of
-inputs transparently (gates slice the last axis), which lets the batched
-encoder summarize every same-length span across a micro-batch with one
-fused matrix multiply per step instead of one vector multiply per span.
+inputs transparently (gates slice the last axis), which lets the encoder
+summarize every same-length span of its inputs with one fused matrix
+multiply per step instead of one vector multiply per span.
 """
 
 from __future__ import annotations
@@ -55,32 +55,10 @@ class LSTMCell(Module):
         return (Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
 
-class LSTM(Module):
-    """Unidirectional LSTM over an (n, d_in) sequence, returning all hidden
-    states as an (n, d_h) tensor plus the final (h, c)."""
-
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.cell = LSTMCell(input_dim, hidden_dim, rng)
-
-    def __call__(
-        self, sequence: Tensor
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        state = self.cell.initial_state()
-        outputs: list[Tensor] = []
-        for t in range(sequence.shape[0]):
-            h, c = self.cell(sequence[t], state)
-            state = (h, c)
-            outputs.append(h)
-        from repro.nn.tensor import stack
-
-        return stack(outputs, axis=0), state
-
-
 class BiLSTMSummarizer(Module):
-    """Summarize a variable-length (n, d_in) span into one vector.
+    """Summarize token spans into one vector each.
 
-    Runs an LSTM forward and another backward over the span and projects
+    Runs an LSTM forward and another backward over a span and projects
     the concatenated final hidden states to ``output_dim``.  Used for
     multi-word column names, table names and multi-piece value candidates.
     """
@@ -92,17 +70,6 @@ class BiLSTMSummarizer(Module):
         self.forward_cell = LSTMCell(input_dim, hidden_dim, rng)
         self.backward_cell = LSTMCell(input_dim, hidden_dim, rng)
         self.projection = xavier_uniform(rng, 2 * hidden_dim, output_dim)
-
-    def __call__(self, span: Tensor) -> Tensor:
-        n = span.shape[0]
-        forward_state = self.forward_cell.initial_state()
-        for t in range(n):
-            forward_state = self.forward_cell(span[t], forward_state)
-        backward_state = self.backward_cell.initial_state()
-        for t in range(n - 1, -1, -1):
-            backward_state = self.backward_cell(span[t], backward_state)
-        combined = concat([forward_state[0], backward_state[0]], axis=-1)
-        return (combined @ self.projection).tanh()
 
     def summarize_spans(
         self, contextual: Tensor, spans: list[tuple[int, int, int]]
@@ -118,8 +85,8 @@ class BiLSTMSummarizer(Module):
             (len(spans), output_dim) summaries, row-aligned with ``spans``.
 
         Each step gathers one position of every span and runs both LSTM
-        cells on the (s, d_in) stack — identical math to calling the
-        summarizer per span, but one fused matmul per step.
+        cells on the (s, d_in) stack — the math of summarizing each span
+        on its own, but one fused matmul per step.
         """
         length = spans[0][2] - spans[0][1]
         if any(end - start != length for _, start, end in spans):
@@ -127,13 +94,12 @@ class BiLSTMSummarizer(Module):
         rows = np.array([example for example, _, _ in spans], dtype=np.int64)
         starts = np.array([start for _, start, _ in spans], dtype=np.int64)
 
+        steps = [contextual[(rows, starts + t)] for t in range(length)]
         forward_state = self.forward_cell.initial_state(batch=len(spans))
-        for t in range(length):
-            x = contextual[(rows, starts + t)]
+        for x in steps:
             forward_state = self.forward_cell(x, forward_state)
         backward_state = self.backward_cell.initial_state(batch=len(spans))
-        for t in range(length - 1, -1, -1):
-            x = contextual[(rows, starts + t)]
+        for x in reversed(steps):
             backward_state = self.backward_cell(x, backward_state)
         combined = concat([forward_state[0], backward_state[0]], axis=-1)
         return (combined @ self.projection).tanh()

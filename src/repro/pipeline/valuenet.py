@@ -7,7 +7,9 @@ supplies the set of value options (paper Section IV-A) and the rest of the
 pipeline is identical.
 
 Both record per-stage wall-clock timings (Table II) and can execute the
-synthesized SQL against the database.
+synthesized SQL against the database.  There is one translate path:
+``translate_batch`` encodes the whole batch in one fused forward, and
+``translate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -82,28 +84,7 @@ class _BasePipeline:
 
     def translate(self, question: str, *, execute: bool = False, **kwargs) -> TranslationResult:
         """Translate ``question`` to SQL (optionally executing it)."""
-        timings = StageTimings()
-        result = TranslationResult(question=question, timings=timings)
-        try:
-            pre: PreprocessedQuestion = self._preprocess(question, timings, **kwargs)
-        except ReproError as exc:
-            result.error = f"preprocessing failed: {exc}"
-            return result
-        result.candidates = pre.candidates
-
-        start = time.perf_counter()
-        try:
-            tree = self.model.predict(
-                pre, self.database.schema, beam_size=self.beam_size
-            )
-        except ReproError as exc:
-            timings.encoder_decoder = time.perf_counter() - start
-            result.error = f"decoding failed: {exc}"
-            return result
-        timings.encoder_decoder = time.perf_counter() - start
-        result.semql = tree
-        self._postprocess(result, tree, execute)
-        return result
+        return self.translate_batch([question], execute=execute, **kwargs)[0]
 
     def translate_batch(
         self,
@@ -116,8 +97,8 @@ class _BasePipeline:
         """Translate several questions against this database at once.
 
         Pre-processing, decoding and post-processing stay per-question,
-        but the encoder runs *once* over the padded micro-batch — the
-        results are identical to sequential :meth:`translate` calls.
+        but the encoder runs *once* over the padded micro-batch.  This is
+        the one translate path: :meth:`translate` is a batch of one.
 
         Args:
             questions: the batch (any size, including 0 or 1).
@@ -251,7 +232,7 @@ class ValueNetLightPipeline(_BasePipeline):
     def translate(
         self, question: str, *, values: list[object], execute: bool = False
     ) -> TranslationResult:
-        return super().translate(question, execute=execute, values=values)
+        return super().translate(question, execute=execute, values=[values])
 
     def _batch_kwargs(self, index: int, kwargs: dict) -> dict:
         return {"values": kwargs["values"][index]}

@@ -10,9 +10,10 @@ the :class:`~repro.baselines.heuristic.HeuristicBaseline` used both as the
 primary engine in model-free deployments and as the degraded fallback.
 
 The neural model mutates shared state during prediction (train/eval
-flags, per-step decoder caches), so translate calls are serialized per
-runtime with a lock; different databases still run fully in parallel, and
-cache hits never take the lock.
+flags, per-step decoder caches), so ``translate_batch`` and
+``translate_fallback`` calls are serialized per runtime with a lock;
+different databases still run fully in parallel, and cache hits never
+take the lock.
 """
 
 from __future__ import annotations
@@ -119,29 +120,6 @@ class DatabaseRuntime:
         """The shared similarity searcher (for serving metrics wiring)."""
         return self.preprocessor.searcher
 
-    def translate(
-        self,
-        question: str,
-        *,
-        execute: bool = False,
-        beam_size: int | None = None,
-    ) -> TranslationResult:
-        """Run the neural pipeline (requires a model).
-
-        ``beam_size`` overrides the pipeline's configured beam for this
-        call; the per-runtime lock makes the temporary override safe.
-        """
-        if self.pipeline is None:
-            raise RuntimeError(f"runtime {self.database_id!r} has no model")
-        with self._lock:
-            configured = self.pipeline.beam_size
-            if beam_size is not None:
-                self.pipeline.beam_size = beam_size
-            try:
-                return self.pipeline.translate(question, execute=execute)
-            finally:
-                self.pipeline.beam_size = configured
-
     def translate_batch(
         self,
         questions: list[str],
@@ -150,13 +128,10 @@ class DatabaseRuntime:
         beam_size: int | None = None,
         encode_observer=None,
     ) -> list[TranslationResult]:
-        """Translate a micro-batch with one fused encoder pass.
+        """Run the neural pipeline on a micro-batch (requires a model).
 
-        Same contract as :meth:`translate` per question; ``execute`` may
-        be one flag per question since micro-batches group requests by
-        database and beam size only.  Pipelines without a
-        ``translate_batch`` method (e.g. test fakes) fall back to
-        sequential translate calls.
+        ``execute`` may be one flag per question; ``beam_size`` overrides
+        the pipeline's beam for this call (safe under the runtime lock).
         """
         if self.pipeline is None:
             raise RuntimeError(f"runtime {self.database_id!r} has no model")
@@ -165,20 +140,9 @@ class DatabaseRuntime:
             if beam_size is not None:
                 self.pipeline.beam_size = beam_size
             try:
-                batched = getattr(self.pipeline, "translate_batch", None)
-                if batched is not None:
-                    return batched(
-                        questions, execute=execute, encode_observer=encode_observer
-                    )
-                flags = (
-                    [bool(f) for f in execute]
-                    if isinstance(execute, (list, tuple))
-                    else [bool(execute)] * len(questions)
+                return self.pipeline.translate_batch(
+                    questions, execute=execute, encode_observer=encode_observer
                 )
-                return [
-                    self.pipeline.translate(question, execute=flag)
-                    for question, flag in zip(questions, flags)
-                ]
             finally:
                 self.pipeline.beam_size = configured
 
@@ -188,8 +152,8 @@ class DatabaseRuntime:
 
         Everything the translate path reads is rebound in ONE critical
         section of the per-runtime lock — the same lock that serializes
-        :meth:`translate` — so a request either runs entirely against the
-        old bundle or entirely against the new one:
+        :meth:`translate_batch` — so a request either runs entirely
+        against the old bundle or entirely against the new one:
 
         * ``database.schema`` is replaced on the shared object (the
           pipeline passes it to the model per call, so pointer networks

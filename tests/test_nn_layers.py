@@ -11,7 +11,6 @@ from repro.nn import (
     BilinearAttention,
     Dropout,
     Embedding,
-    LSTM,
     LSTMCell,
     LayerNorm,
     Linear,
@@ -214,12 +213,6 @@ class TestRnn:
         cell = LSTMCell(4, 6, RNG)
         np.testing.assert_array_equal(cell.bias.data[6:12], 1.0)
 
-    def test_lstm_over_sequence(self):
-        lstm = LSTM(4, 6, RNG)
-        outputs, (h, c) = lstm(Tensor(RNG.normal(size=(5, 4))))
-        assert outputs.shape == (5, 6)
-        np.testing.assert_array_equal(outputs.data[-1], h.data)
-
     def test_lstm_gradcheck(self):
         cell = LSTMCell(3, 4, RNG)
         sequence = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
@@ -234,18 +227,23 @@ class TestRnn:
 
     def test_bilstm_summary_shape(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
-        assert summarizer(Tensor(RNG.normal(size=(3, 4)))).shape == (6,)
+        contextual = Tensor(RNG.normal(size=(2, 5, 4)))
+        spans = [(0, 0, 3), (1, 2, 5), (0, 1, 4)]
+        assert summarizer.summarize_spans(contextual, spans).shape == (3, 6)
 
     def test_bilstm_single_token(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
-        assert summarizer(Tensor(RNG.normal(size=(1, 4)))).shape == (6,)
+        contextual = Tensor(RNG.normal(size=(1, 1, 4)))
+        assert summarizer.summarize_spans(contextual, [(0, 0, 1)]).shape == (1, 6)
 
     def test_bilstm_direction_sensitivity(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
         span = RNG.normal(size=(3, 4))
-        forward = summarizer(Tensor(span))
-        backward = summarizer(Tensor(span[::-1].copy()))
-        assert not np.allclose(forward.data, backward.data)
+        contextual = Tensor(np.stack([span, span[::-1]]))
+        forward, backward = summarizer.summarize_spans(
+            contextual, [(0, 0, 3), (1, 0, 3)]
+        ).data
+        assert not np.allclose(forward, backward)
 
 
 class TestOptim:

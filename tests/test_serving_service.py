@@ -33,17 +33,20 @@ class FakePipeline:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def translate(self, question, *, execute=False, **kwargs):
+    def translate_batch(self, questions, *, execute=False, encode_observer=None):
         with self._lock:
-            self.calls += 1
+            self.calls += len(questions)
             self.seen_beam = self.beam_size
         if self.fail:
             raise ModelError("scripted failure")
-        result = TranslationResult(question=question, timings=StageTimings(
-            preprocessing=0.001, encoder_decoder=0.002, postprocessing=0.0005,
-        ))
-        result.sql = self.sql
-        return result
+        results = []
+        for question in questions:
+            result = TranslationResult(question=question, timings=StageTimings(
+                preprocessing=0.001, encoder_decoder=0.002, postprocessing=0.0005,
+            ))
+            result.sql = self.sql
+            results.append(result)
+        return results
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ModelError
 from repro.pipeline.timing import StageTimings
 from repro.pipeline.valuenet import TranslationResult
 from repro.serving import (
@@ -45,27 +44,19 @@ class ChaosPipeline:
             self.calls += 1
             return self.calls
 
-    def translate(self, question, *, execute=False, **kwargs):
+    def translate_batch(self, questions, *, execute=False, encode_observer=None):
+        return [self._translate_one(q) for q in questions]
+
+    def _translate_one(self, question):
         call = self._tick()
         if call % 4 == 0:
             time.sleep(0.002)
-        if call % 3 == 0:
-            raise ModelError("scripted chaos")
         result = TranslationResult(question=question, timings=StageTimings())
-        result.sql = "SELECT count(*) FROM student"
+        if call % 3 == 0:
+            result.error = "decoding failed: scripted chaos"
+        else:
+            result.sql = "SELECT count(*) FROM student"
         return result
-
-    def translate_batch(self, questions, *, execute=False, encode_observer=None):
-        # One shared failure schedule for both entry points.
-        return [self._translate_safe(q) for q in questions]
-
-    def _translate_safe(self, question):
-        try:
-            return self.translate(question)
-        except ModelError as exc:
-            result = TranslationResult(question=question, timings=StageTimings())
-            result.error = f"decoding failed: {exc}"
-            return result
 
 
 def test_stress_every_future_resolves_exactly_once(pets_db, monkeypatch):
